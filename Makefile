@@ -82,7 +82,7 @@ loadgen-smoke:
 # commit-time conflict-path tests under the race detector; wired into CI.
 shard-smoke:
 	$(GO) run ./cmd/tetrisim -cluster rc256het -workload gshet -jobs 120 -shards 4 -v | tail -n 6
-	$(GO) test -race -count=1 -run 'Shard|ReuseMap|RateLimit' ./...
+	$(GO) test -race -count=1 -run 'Shard|RateLimit' ./...
 
 cover:
 	$(GO) test -cover ./internal/...

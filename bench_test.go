@@ -168,17 +168,17 @@ func BenchmarkSchedulerCycleMultiComponent(b *testing.B) {
 }
 
 // benchSchedulerCycleChurn measures one steady-state TetriSched cycle on an
-// RC256 cluster as a function of churn — the incremental layer's headline
-// quantity (cycle cost proportional to change, not cluster size). Eight
-// overrunning whole-cluster blockers pin every believed release slice at 1,
-// and eight data-local SLO residents per block (binding block supply rows
-// keep each block one component) defer in place with identical solve
-// inputs cycle after cycle. churnPct percent of the 64 residents arrive
-// fresh each cycle (fractional accumulator) as short-deadline jobs on a
-// rotating block, dirtying that block's component for the 2–3 cycles they
-// live. The scheduler is rebuilt each epoch, inside the resident deadlines'
-// identity band, so leaf values never shift mid-measurement.
-func benchSchedulerCycleChurn(b *testing.B, churnPct int, disableIncremental bool) {
+// RC256 cluster as a function of churn. Eight overrunning whole-cluster
+// blockers pin every believed release slice at 1, and eight data-local SLO
+// residents per block (binding block supply rows keep each block one
+// component) defer in place cycle after cycle. churnPct percent of the 64
+// residents arrive fresh each cycle (fractional accumulator) as
+// short-deadline jobs on a rotating block, changing that block's component
+// for the 2–3 cycles they live. The scheduler is rebuilt each epoch, inside
+// the resident deadlines' identity band, so leaf values never shift
+// mid-measurement. Every cycle generates, compiles and solves from scratch,
+// so Churn0 is the cost of a full cycle over an unchanged cluster.
+func benchSchedulerCycleChurn(b *testing.B, churnPct int) {
 	c := cluster.RC256(false)
 	const (
 		blocks     = 8
@@ -189,10 +189,9 @@ func benchSchedulerCycleChurn(b *testing.B, churnPct int, disableIncremental boo
 	// Mixed widths over an 8-node block with 3-slice durations make each
 	// component a genuine packing MILP (oversubscribed ~108 node-slices of
 	// demand against 72 of supply) rather than a one-job-fits horizon pick.
-	// This exact mix sits in a measured sweet spot: ~50ms per cold cycle —
+	// This exact mix sits in a measured sweet spot: ~50ms per cycle —
 	// expensive enough that solving dominates compilation, yet 40x below the
-	// 2s solver time limit (time-limited solves return Feasible, which the
-	// reuse cache rightly refuses to store).
+	// 2s solver time limit.
 	widths := [perBlock]int{2, 3, 5, 7, 2, 3, 5, 7, 2}
 	blockData := func(g int) []int {
 		data := make([]int, 8)
@@ -208,8 +207,7 @@ func benchSchedulerCycleChurn(b *testing.B, churnPct int, disableIncremental boo
 	nextID := 1000
 	acc, rot := 0, 0
 	newEpoch := func() {
-		sched = core.New(c, core.Config{CyclePeriod: 4, PlanAhead: 40, MaxBatch: 192,
-			DisableIncremental: disableIncremental})
+		sched = core.New(c, core.Config{CyclePeriod: 4, PlanAhead: 40, MaxBatch: 192})
 		for g := 0; g < blocks; g++ {
 			sched.Submit(0, &workload.Job{ID: 900 + g, Class: workload.BestEffort,
 				Type: workload.Unconstrained, Submit: 0, K: 32, BaseRuntime: 4, Slowdown: 1})
@@ -247,8 +245,8 @@ func benchSchedulerCycleChurn(b *testing.B, churnPct int, disableIncremental boo
 			acc -= 100
 			// One live start choice (slice 1; slice 0 is capacity-culled, the
 			// whole-cluster fallback value-culled) and a 1-slice duration: the
-			// arrival dirties its block's component and forces a fresh solve
-			// on entry and again on exit without reshaping the packing MILP.
+			// arrival changes its block's component on entry and again on exit
+			// without reshaping the packing MILP.
 			sched.Submit(now, &workload.Job{ID: nextID, Class: workload.SLO, Reserved: true,
 				Type: workload.DataLocal, Submit: now, K: 2, BaseRuntime: 4, Slowdown: 40,
 				Deadline: now + 10, DataNodes: blockData(rot % blocks)})
@@ -260,34 +258,20 @@ func benchSchedulerCycleChurn(b *testing.B, churnPct int, disableIncremental boo
 		cyclesLeft--
 	}
 	b.StopTimer()
-	if !disableIncremental && sched.Stats.ReuseHits == 0 {
-		b.Fatal("steady-state churn benchmark recorded no reuse hits; it is not measuring replay")
-	}
-	if disableIncremental && sched.Stats.ReuseHits+sched.Stats.ReuseMisses != 0 {
-		b.Fatal("cold churn benchmark touched the reuse machinery")
-	}
 }
 
-// Churn sweep: percentage of the 64 residents replaced per cycle. Churn0 is
-// the pure steady state (every component replays); ChurnCold runs the
-// low-churn workload with DisableIncremental — the cold baseline the ≤30%
-// steady-state acceptance ratio in BENCH_milp.json is measured against.
-func BenchmarkSchedulerCycleChurn0(b *testing.B)    { benchSchedulerCycleChurn(b, 0, false) }
-func BenchmarkSchedulerCycleChurn1(b *testing.B)    { benchSchedulerCycleChurn(b, 1, false) }
-func BenchmarkSchedulerCycleChurn10(b *testing.B)   { benchSchedulerCycleChurn(b, 10, false) }
-func BenchmarkSchedulerCycleChurn50(b *testing.B)   { benchSchedulerCycleChurn(b, 50, false) }
-func BenchmarkSchedulerCycleChurnCold(b *testing.B) { benchSchedulerCycleChurn(b, 1, true) }
+// Churn sweep: percentage of the 64 residents replaced per cycle.
+func BenchmarkSchedulerCycleChurn0(b *testing.B)  { benchSchedulerCycleChurn(b, 0) }
+func BenchmarkSchedulerCycleChurn1(b *testing.B)  { benchSchedulerCycleChurn(b, 1) }
+func BenchmarkSchedulerCycleChurn10(b *testing.B) { benchSchedulerCycleChurn(b, 10) }
+func BenchmarkSchedulerCycleChurn50(b *testing.B) { benchSchedulerCycleChurn(b, 50) }
 
 // benchCycleFrontEndChurn measures the cycle *front end* — STRL generation
 // plus compilation, the phases upstream of the solve — on the same RC256
 // steady-state scenario as benchSchedulerCycleChurn, as a function of churn.
 // ns/op still covers the whole cycle; the headline quantity is the
-// "frontend-ns" custom metric, the per-cycle GenerateNS+CompileNS delta. The
-// incremental solve cache stays on in every variant so the front end is the
-// only thing the disableCache axis varies; the ≤25% steady-vs-cold
-// acceptance ratio in BENCH_milp.json compares FrontEndChurn0 against
-// FrontEndChurnCold on this metric.
-func benchCycleFrontEndChurn(b *testing.B, churnPct int, disableCache bool) {
+// "frontend-ns" custom metric, the per-cycle GenerateNS+CompileNS delta.
+func benchCycleFrontEndChurn(b *testing.B, churnPct int) {
 	c := cluster.RC256(false)
 	const (
 		blocks     = 8
@@ -310,17 +294,8 @@ func benchCycleFrontEndChurn(b *testing.B, churnPct int, disableCache bool) {
 	nextID := 1000
 	acc, rot := 0, 0
 	var feNS int64
-	skips, compiled := 0, 0
-	flushStats := func() {
-		if sched != nil {
-			skips += sched.Stats.CompileSkips
-			compiled += sched.Stats.CompileJobs
-		}
-	}
 	newEpoch := func() {
-		flushStats()
-		sched = core.New(c, core.Config{CyclePeriod: 4, PlanAhead: 40, MaxBatch: 192,
-			DisableCompileCache: disableCache})
+		sched = core.New(c, core.Config{CyclePeriod: 4, PlanAhead: 40, MaxBatch: 192})
 		for g := 0; g < blocks; g++ {
 			sched.Submit(0, &workload.Job{ID: 900 + g, Class: workload.BestEffort,
 				Type: workload.Unconstrained, Submit: 0, K: 32, BaseRuntime: 4, Slowdown: 1})
@@ -365,27 +340,14 @@ func benchCycleFrontEndChurn(b *testing.B, churnPct int, disableCache bool) {
 		cyclesLeft--
 	}
 	b.StopTimer()
-	flushStats()
-	if disableCache && (skips != 0 || sched.Stats.ExprHits != 0) {
-		b.Fatal("cold front-end benchmark touched the compile cache")
-	}
-	if !disableCache && skips == 0 {
-		b.Fatal("steady-state front-end benchmark skipped no compiles; it is not measuring the cache")
-	}
 	b.ReportMetric(float64(feNS)/float64(b.N), "frontend-ns")
-	if skips+compiled > 0 {
-		b.ReportMetric(float64(skips)/float64(skips+compiled), "compile-skip-rate")
-	}
 }
 
-// Front-end churn sweep, mirroring the solve-side sweep above. ChurnCold runs
-// the zero-churn workload with DisableCompileCache — the cold front-end
-// baseline the steady-state ratio is measured against.
-func BenchmarkCycleFrontEndChurn0(b *testing.B)    { benchCycleFrontEndChurn(b, 0, false) }
-func BenchmarkCycleFrontEndChurn1(b *testing.B)    { benchCycleFrontEndChurn(b, 1, false) }
-func BenchmarkCycleFrontEndChurn10(b *testing.B)   { benchCycleFrontEndChurn(b, 10, false) }
-func BenchmarkCycleFrontEndChurn50(b *testing.B)   { benchCycleFrontEndChurn(b, 50, false) }
-func BenchmarkCycleFrontEndChurnCold(b *testing.B) { benchCycleFrontEndChurn(b, 0, true) }
+// Front-end churn sweep, mirroring the solve-side sweep above.
+func BenchmarkCycleFrontEndChurn0(b *testing.B)  { benchCycleFrontEndChurn(b, 0) }
+func BenchmarkCycleFrontEndChurn1(b *testing.B)  { benchCycleFrontEndChurn(b, 1) }
+func BenchmarkCycleFrontEndChurn10(b *testing.B) { benchCycleFrontEndChurn(b, 10) }
+func BenchmarkCycleFrontEndChurn50(b *testing.B) { benchCycleFrontEndChurn(b, 50) }
 
 // benchShardedCycle runs the full RC10K sharding scenario (internal/
 // experiments.ExtShard's code path, bench scale) once per iteration: a

@@ -227,10 +227,10 @@ func compareReports(base, cur *report, threshold, maxSingle float64, w io.Writer
 		}
 		fmt.Fprintf(w, "  %-40s %12.0f -> %12.0f min ns/op  %+7.1f%% (mean %+7.1f%%)  %s\n",
 			c.Name, bMin, cMin, 100*minDelta, 100*meanDelta, verdict)
-		// Custom b.ReportMetric values (e.g. compile-skip-rate, slo-pct) are
+		// Custom b.ReportMetric values (e.g. reject-rate, slo-pct) are
 		// carried through for the reader but never judged: they measure
-		// policy or cache quantities, not time, so the regression verdict
-		// stays a pure ns/op statement.
+		// policy or per-phase quantities, so the regression verdict stays a
+		// pure ns/op statement.
 		names := make([]string, 0, len(c.Metrics))
 		for name := range c.Metrics {
 			if _, ok := b.Metrics[name]; ok {

@@ -68,8 +68,6 @@ func main() {
 		workers   = flag.Int("solver-workers", 0, "branch-and-bound workers per MILP solve (0 = one per CPU)")
 		gap       = flag.Float64("gap", 0.1, "relative MIP gap")
 		noPresolv = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
-		noIncr    = flag.Bool("no-incremental", false, "disable cross-cycle component reuse (bisection switch)")
-		noFECache = flag.Bool("no-compile-cache", false, "disable the expression/compile front-end caches (bisection switch)")
 		shards    = flag.Int("shards", 0, "sharded control plane: concurrent per-shard planners with optimistic commit (0 = monolithic)")
 		traceRing = flag.Int("trace-ring", 16384, "trace ring size in events served by /v1/trace (0 disables tracing)")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = pprof disabled)")
@@ -102,20 +100,18 @@ func main() {
 		tr = trace.New(*traceRing)
 	}
 	sched := core.New(c, core.Config{
-		CyclePeriod:         *cycle,
-		PlanQuantum:         *quantum,
-		PlanAhead:           *planAhead,
-		Greedy:              *greedy,
-		NoHet:               *noHet,
-		EnablePreemption:    *preempt,
-		SolverTimeLimit:     *limit,
-		SolverWorkers:       workerCount(*workers),
-		Gap:                 *gap,
-		DisablePresolve:     *noPresolv,
-		DisableIncremental:  *noIncr,
-		DisableCompileCache: *noFECache,
-		Shards:              *shards,
-		Tracer:              tr,
+		CyclePeriod:      *cycle,
+		PlanQuantum:      *quantum,
+		PlanAhead:        *planAhead,
+		Greedy:           *greedy,
+		NoHet:            *noHet,
+		EnablePreemption: *preempt,
+		SolverTimeLimit:  *limit,
+		SolverWorkers:    workerCount(*workers),
+		Gap:              *gap,
+		DisablePresolve:  *noPresolv,
+		Shards:           *shards,
+		Tracer:           tr,
 	})
 	admCfg := httpapi.AdmissionConfig{MaxQueue: *maxQueue, Burst: *burst}
 	if *tenants != "" {

@@ -44,8 +44,6 @@ func main() {
 		limit       = flag.Duration("solver-limit", 300*time.Millisecond, "MILP time limit per solve")
 		workers     = flag.Int("solver-workers", 1, "branch-and-bound workers per MILP solve (0 = one per CPU)")
 		noPresolve  = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
-		noIncr      = flag.Bool("no-incremental", false, "disable cross-cycle component reuse (bisection switch)")
-		noCompCache = flag.Bool("no-compile-cache", false, "disable the expression/compile front-end caches (bisection switch)")
 		shards      = flag.Int("shards", 0, "sharded control plane: concurrent per-shard planners with optimistic commit (0 = monolithic)")
 		verbose     = flag.Bool("v", false, "print per-job outcomes")
 		gantt       = flag.Bool("gantt", false, "render the space-time schedule grid")
@@ -132,7 +130,7 @@ func main() {
 	var sched sim.Scheduler
 	base := core.Config{CyclePeriod: *cycle, PlanAhead: *planAhead, PlanQuantum: *planQuantum,
 		SolverTimeLimit: *limit, SolverWorkers: solverWorkers(*workers), Tracer: tracer,
-		DisablePresolve: *noPresolve, DisableIncremental: *noIncr, DisableCompileCache: *noCompCache, Shards: *shards}
+		DisablePresolve: *noPresolve, Shards: *shards}
 	switch strings.ToLower(*schedName) {
 	case "tetrisched", "full":
 		sched = core.New(c, base)
@@ -194,10 +192,8 @@ func main() {
 				st.Factorizations, st.EtaUpdates, st.DenseFallbacks)
 			fmt.Printf("cuts: rounds=%d cover=%d clique=%d  branching: pseudocost=%d fractional=%d\n",
 				st.CutRounds, st.CoverCuts, st.CliqueCuts, st.PseudocostBranches, st.FractionalBranches)
-			fmt.Printf("reuse: hits=%d misses=%d hit-rate=%.1f%%\n",
-				st.ReuseHits, st.ReuseMisses, 100*st.ReuseHitRate())
-			fmt.Printf("frontend: expr-hits=%d expr-misses=%d compile-skips=%d compile-jobs=%d skip-rate=%.1f%% generate=%v compile=%v\n",
-				st.ExprHits, st.ExprMisses, st.CompileSkips, st.CompileJobs, 100*st.CompileSkipRate(),
+			fmt.Printf("frontend: compile-jobs=%d generate=%v compile=%v\n",
+				st.CompileJobs,
 				(time.Duration(st.GenerateNS) * time.Nanosecond).Round(time.Microsecond),
 				(time.Duration(st.CompileNS) * time.Nanosecond).Round(time.Microsecond))
 			if sh := cs.ShardStatsSnapshot(); sh.Shards > 0 {

@@ -32,12 +32,6 @@ type Component struct {
 	Shard int
 
 	parent *Compiled
-
-	// fp memoizes ComponentFingerprint. The component and its parent are
-	// immutable once built, so the print is computed at most once even when
-	// the compile cache carries the component across many cycles.
-	fp    uint64
-	fpSet bool
 }
 
 // Components partitions the compiled batch into independently solvable

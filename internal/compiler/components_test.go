@@ -193,3 +193,33 @@ func TestDecomposeRestrictLiftRoundTrip(t *testing.T) {
 		t.Error("Restrict(nil) should be nil")
 	}
 }
+
+// TestRestrictSeedNilOnEmptySupport pins the seed-projection contract: a
+// component outside the seed's support gets nil (no seed), not an all-zero
+// vector the solver would mistake for a warm incumbent.
+func TestRestrictSeedNilOnEmptySupport(t *testing.T) {
+	n := 6
+	c, err := Compile(blockJobs(n, 2), Options{Universe: n, Horizon: 4})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	comps := c.Components()
+	if len(comps) != 2 {
+		t.Fatalf("got %d components, want 2", len(comps))
+	}
+	// Seed the full vector only inside component 0's variables.
+	full := make([]float64, c.Model.NumVars())
+	full[comps[0].VarMap[0]] = 1
+	if got := comps[0].RestrictSeed(full); got == nil {
+		t.Error("component holding the seed's support got a nil projection")
+	}
+	if got := comps[1].RestrictSeed(full); got != nil {
+		t.Errorf("component outside the seed's support got %v, want nil", got)
+	}
+	if got := comps[1].Restrict(full); got == nil {
+		t.Error("plain Restrict must still return the (zero) projection")
+	}
+	if got := comps[0].RestrictSeed(nil); got != nil {
+		t.Errorf("RestrictSeed(nil) = %v, want nil", got)
+	}
+}

@@ -54,9 +54,9 @@ type Config struct {
 	// SolverTimeLimit bounds each MILP solve's wall-clock time.
 	SolverTimeLimit time.Duration
 	// SolverWorkers is the number of branch-and-bound workers per MILP solve
-	// (milp.Options.Workers); 0 defaults to 1 (serial — the deterministic
-	// historical behavior). The scheduler always requests deterministic
-	// tie-breaking, so raising this keeps runs reproducible while cutting
+	// (milp.Options.Workers); 0 defaults to 1 (serial — the historical
+	// behavior). Multi-worker solves expand nodes in synchronous rounds with
+	// fixed tie-breaks, so raising this keeps runs reproducible while cutting
 	// wall-clock on multi-core hosts.
 	SolverWorkers int
 	// MaxBatch caps how many pending jobs one global solve aggregates; the
@@ -81,22 +81,6 @@ type Config struct {
 	// basis exactly, so placements are policy-identical either way, only
 	// slower at scale (docs/SOLVER.md).
 	DenseBasis bool
-	// DisableIncremental turns off cross-cycle component reuse: every cycle
-	// compiles and solves from scratch, the pre-PR-6 behavior. Reuse replays
-	// a cached sub-solution only when a fingerprint proves the component's
-	// solve inputs are byte-identical to last cycle's, so this is a bisection
-	// switch in the DisableWarmStart/DisablePresolve mold — placements are
-	// policy-identical either way, only slower (docs/SOLVER.md).
-	DisableIncremental bool
-	// DisableCompileCache turns off the churn-proportional cycle front end
-	// (internal/core/frontend.go): the per-job STRL expression cache and the
-	// whole-batch compiled-model cache. Every cycle then regenerates and
-	// recompiles from scratch, the pre-compile-cache behavior. A hit requires
-	// the batch's request pointers and believed release slices to be
-	// identical, which makes the compiler's inputs byte-identical, so this is
-	// a bisection switch in the DisableWarmStart/DisablePresolve mold —
-	// placements are policy-identical either way, only slower (docs/SOLVER.md).
-	DisableCompileCache bool
 	// Shards enables the sharded shared-state control plane (internal/shard,
 	// docs/SHARDING.md): the cluster is partitioned into Shards shards, each
 	// planned by its own concurrent per-shard sub-solve over an optimistic
@@ -185,22 +169,20 @@ type SolveStats struct {
 	Decomposed int           // global solves that split into independent components
 	Components int           // sub-MILPs solved across all decomposed solves
 
-	// Incremental-reuse telemetry (internal/core/incremental.go): every
-	// fingerprinted component counts exactly once per cycle, as a hit
-	// (cached sub-solution replayed) or a miss (solved fresh).
-	ReuseHits   int // component sub-solves replayed from the previous cycle
-	ReuseMisses int // fingerprinted components that had to be solved fresh
+	// Cycle front-end telemetry: STRL generation and compile wall-clock, and
+	// the number of batched jobs compiled.
+	GenerateNS  int64 // STRL generation wall-clock across all cycles, nanoseconds
+	CompileNS   int64 // compile+decompose+route wall-clock across all cycles, nanoseconds
+	CompileJobs int   // batched jobs compiled in a global cycle
 
-	// Cycle front-end telemetry (internal/core/frontend.go). The timers
-	// accrue regardless of configuration; the hit/skip counters stay zero
-	// when the compile cache is disabled, so the kill switch is honest in
-	// both directions.
-	GenerateNS   int64 // STRL generation wall-clock across all cycles, nanoseconds
-	CompileNS    int64 // compile+decompose+route wall-clock across all cycles, nanoseconds
-	ExprHits     int   // pending jobs whose STRL request came from the expression cache
-	ExprMisses   int   // pending jobs generated fresh with the expression cache enabled
-	CompileSkips int   // batched jobs whose compiled model was reused verbatim
-	CompileJobs  int   // batched jobs compiled fresh in a global cycle
+	// Retired cross-cycle cache counters. Every cycle generates, compiles and
+	// solves from scratch, so these always read 0; they are kept because the
+	// /v1/status wire format and its readers carry them.
+	ReuseHits    int // always 0: component sub-solves are never replayed
+	ReuseMisses  int // always 0
+	ExprHits     int // always 0: STRL requests are regenerated every cycle
+	ExprMisses   int // always 0
+	CompileSkips int // always 0: every batch is compiled
 
 	// Presolve telemetry (internal/milp/presolve.go), summed across solves.
 	PresolveFixed   int           // variables fixed before branch-and-bound
@@ -232,26 +214,6 @@ func (st *SolveStats) WarmHitRate() float64 {
 		return 0
 	}
 	return float64(st.WarmLPs) / float64(total)
-}
-
-// ReuseHitRate returns the fraction of fingerprinted component sub-solves
-// served by cross-cycle replay (0 when incremental scheduling never ran).
-func (st *SolveStats) ReuseHitRate() float64 {
-	total := st.ReuseHits + st.ReuseMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(st.ReuseHits) / float64(total)
-}
-
-// CompileSkipRate returns the fraction of batched jobs whose compiled model
-// was reused verbatim instead of compiled (0 when no global cycle ran).
-func (st *SolveStats) CompileSkipRate() float64 {
-	total := st.CompileSkips + st.CompileJobs
-	if total == 0 {
-		return 0
-	}
-	return float64(st.CompileSkips) / float64(total)
 }
 
 // MeanSolve returns the mean wall-clock per MILP solve.
@@ -326,21 +288,9 @@ type Scheduler struct {
 	lastJob map[int]planChoice
 	tr      *trace.Tracer
 
-	// Incremental cross-cycle reuse state (internal/core/incremental.go);
-	// dirtyJobs and reuse are nil when the machinery is disabled.
-	dirtyJobs map[int]struct{}       // jobs touched since the last global cycle
-	lastRel   []int64                // previous cycle's believed release slices
-	reuse     map[uint64]*reuseEntry // job-set key → cached component sub-solution
-	reuseNext map[uint64]*reuseEntry // recycled scratch for next cycle's epoch map
-	reuseHW   int                    // high-water len of the reuse map since last shrink
-
-	// Cycle front-end state (internal/core/frontend.go); exprCache is nil
-	// when the compile cache is disabled. compScr and conflictScratch are
-	// always-on allocation pools, independent of any cache semantics.
-	exprCache       map[int]*exprEntry // job ID → cached STRL request + expiry
-	fe              feState            // whole-batch compile cache
-	compScr         *compiler.Scratch  // pooled compile build buffers
-	conflictScratch *bitset.Set        // classifyConflict working-set scratch
+	// Allocation pools reused across cycles; they hold no cycle's results.
+	compScr         *compiler.Scratch // pooled compile build buffers
+	conflictScratch *bitset.Set       // classifyConflict working-set scratch
 
 	// Sharded control-plane state (internal/shard, docs/SHARDING.md); all nil
 	// or zero when Config.Shards == 0 (the monolithic kill switch).
@@ -399,13 +349,6 @@ func New(c *cluster.Cluster, cfg Config) *Scheduler {
 		tr:      cfg.Tracer,
 		compScr: new(compiler.Scratch),
 	}
-	if s.incEnabled() {
-		s.dirtyJobs = make(map[int]struct{})
-		s.reuse = make(map[uint64]*reuseEntry)
-	}
-	if s.feEnabled() {
-		s.exprCache = make(map[int]*exprEntry)
-	}
 	if cfg.Shards > 0 && !cfg.Greedy {
 		p := cfg.Partitioner
 		if p == nil {
@@ -425,21 +368,16 @@ func (s *Scheduler) Name() string { return s.cfg.Name() }
 // Submit implements sim.Scheduler.
 func (s *Scheduler) Submit(now int64, j *workload.Job) {
 	s.pending = append(s.pending, j)
-	s.markJobDirty(j.ID)
 }
 
 // JobFinished implements sim.Scheduler. Finishing (or failing — the driver
-// reports both here) invalidates the job everywhere the scheduler remembers
-// it: the running set, the dirty tracking for next cycle's reuse gate, and
-// any cached component sub-solution naming it. The nodes it held change
-// their believed release slices, which the per-cycle release diff picks up.
+// reports both here) removes the job from the running set; the nodes it held
+// change their believed release slices from the next cycle on.
 func (s *Scheduler) JobFinished(now int64, j *workload.Job) {
 	if r, ok := s.running[j.ID]; ok && s.sharded() {
 		s.shardState.Bump(r.nodes) // the nodes' allocation state changed
 	}
 	delete(s.running, j.ID)
-	s.markJobDirty(j.ID)
-	s.purgeReuse(j.ID)
 }
 
 // priority orders pending jobs into the three queues of §6.3: accepted SLO,
@@ -525,34 +463,11 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 	reqs := make([]*strlgen.Request, 0, len(ordered))
 	nOptions := 0
 	for _, j := range ordered {
-		var req *strlgen.Request
-		if s.exprCache != nil {
-			// Expression cache (frontend.go): reuse the previously generated
-			// request verbatim while its value-function expiry bound holds.
-			// Pointer-stable requests are what lets the whole-batch compile
-			// cache recognize an unchanged cycle downstream.
-			if ent, ok := s.exprCache[j.ID]; ok && now <= ent.validUntil {
-				req = ent.req
-				s.Stats.ExprHits++
-			} else {
-				var until int64
-				req, until = s.gen.GenerateTTL(now, j)
-				s.Stats.ExprMisses++
-				if req != nil && until > now {
-					s.exprCache[j.ID] = &exprEntry{req: req, validUntil: until}
-				} else if ok {
-					delete(s.exprCache, j.ID)
-				}
-			}
-		} else {
-			req = s.gen.Generate(now, j)
-		}
+		req := s.gen.Generate(now, j)
 		if req == nil {
 			res.Dropped = append(res.Dropped, j)
 			s.removePending(j)
 			delete(s.lastJob, j.ID)
-			s.markJobDirty(j.ID)
-			s.purgeReuse(j.ID)
 			s.tr.Instant("place", "drop", trace.I("job", int64(j.ID)))
 			continue
 		}
@@ -592,12 +507,10 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		reqs = reqs[:s.cfg.MaxBatch]
 	}
 	rel := s.releaseSlices(now)
-	// Compile — or recognize an unchanged cycle and skip it. Decomposition
-	// (and in sharded mode, request routing) is derived deterministically
-	// from the compile inputs, so it is cached and reused with them:
-	// jobs competing for disjoint node groups across the window form
-	// independent sub-MILPs that solve concurrently, and branch-and-bound is
-	// exponential in coupled model size, so the split shrinks search trees
+	// Compile, then split the model into independent components: jobs
+	// competing for disjoint node groups across the window form independent
+	// sub-MILPs that solve concurrently, and branch-and-bound is exponential
+	// in coupled model size, so the split shrinks search trees
 	// multiplicatively. In sharded mode the decomposition is forced along
 	// shard lines instead: each shard's jobs become that shard's planner (a
 	// concurrent sub-solve over an optimistic copy of the shared supply) and
@@ -605,50 +518,37 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	// component (docs/SHARDING.md).
 	compSpan := s.tr.Begin("compile", "compile")
 	compT0 := time.Now()
-	var comp *compiler.Compiled
+	jobExprs := make([]strl.Expr, len(reqs))
+	for i, r := range reqs {
+		jobExprs[i] = r.Expr
+	}
+	comp, err := s.compScr.Compile(jobExprs, compiler.Options{
+		Universe:  s.c.N(),
+		Horizon:   s.horizon(),
+		ReleaseAt: rel,
+	})
+	if err != nil {
+		// Should be impossible for generated expressions; fail safe by
+		// making no decisions this cycle.
+		s.Stats.CompileNS += time.Since(compT0).Nanoseconds()
+		compSpan.End(trace.S("error", err.Error()))
+		return
+	}
 	var comps []*compiler.Component
 	var assign []int
 	spanning := 0
 	arbClass := -1
 	if s.sharded() {
 		arbClass = len(s.shardSets)
-	}
-	if s.feLookup(reqs, rel) {
-		comp, comps, assign, spanning = s.fe.comp, s.fe.comps, s.fe.assign, s.fe.spanning
-		s.Stats.CompileSkips += len(reqs)
+		assign, spanning = shard.Assign(s.shardSets, reqs)
+		comps = comp.ForcedComponents(assign, arbClass)
 	} else {
-		jobExprs := make([]strl.Expr, len(reqs))
-		for i, r := range reqs {
-			jobExprs[i] = r.Expr
-		}
-		var err error
-		comp, err = s.compScr.Compile(jobExprs, compiler.Options{
-			Universe:  s.c.N(),
-			Horizon:   s.horizon(),
-			ReleaseAt: rel,
-		})
-		if err != nil {
-			// Should be impossible for generated expressions; fail safe by
-			// making no decisions this cycle.
-			s.Stats.CompileNS += time.Since(compT0).Nanoseconds()
-			compSpan.End(trace.S("error", err.Error()))
-			return
-		}
-		if s.sharded() {
-			assign, spanning = shard.Assign(s.shardSets, reqs)
-			comps = comp.ForcedComponents(assign, arbClass)
-		} else {
-			comps = comp.Components()
-		}
-		s.Stats.CompileJobs += len(reqs)
-		if s.feEnabled() {
-			s.feStore(reqs, rel, comp, comps, assign, spanning)
-		}
+		comps = comp.Components()
 	}
+	s.Stats.CompileJobs += len(reqs)
 	if s.sharded() {
 		// The epoch snapshot taken here is what commit-time conflict
-		// classification validates against; it reflects this cycle's shared
-		// state, so it is taken fresh whether or not the compile was skipped.
+		// classification validates against.
 		shSpan := s.tr.Begin("shard", "shard.assign")
 		s.shardSnap = s.shardState.Snapshot(s.shardSnap)
 		s.shardStats.Cycles++
@@ -700,72 +600,39 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		Gap:              s.cfg.Gap,
 		TimeLimit:        s.cfg.SolverTimeLimit,
 		Workers:          s.cfg.SolverWorkers,
-		Deterministic:    true,
 		DisableWarmStart: s.cfg.DisableWarmStart,
 		DisablePresolve:  s.cfg.DisablePresolve,
 		DenseBasis:       s.cfg.DenseBasis,
 	}
 	solveSpan := s.tr.Begin("solve", "solve")
 	t0 := time.Now()
-	var err error
 	var sol *milp.Solution
 	var failed []*strlgen.Request
-	var inc *incCycle
-	if s.incEnabled() {
-		inc = s.beginIncCycle(comp, reqs, rel)
-	}
-	warmSeeds, replayed := 0, 0
+	warmSeeds := 0
 	if len(comps) > 1 {
 		parts := make([]milp.Part, len(comps))
 		for i, cc := range comps {
 			cc := cc
-			partSeed := cc.RestrictSeed(seed)
 			parts[i] = milp.Part{
 				Model:     cc.Model,
 				VarMap:    cc.VarMap,
+				Seed:      cc.RestrictSeed(seed),
 				Heuristic: cc.GreedyRound,
 			}
-			var cached *milp.Solution
-			if inc != nil {
-				cached = inc.lookup(cc, partSeed)
-			}
-			if cached != nil {
-				// Replay: the fingerprint proved this component's solve inputs
-				// identical to last cycle's, so the cached sub-solution stands
-				// in for the solve. It still occupies its slot in worker
-				// apportioning so the live parts search exactly as a full run
-				// would (deterministic searches depend on worker counts).
-				parts[i].Reuse = cached
-				replayed++
-			} else {
-				parts[i].Seed = partSeed
-				if partSeed != nil {
-					warmSeeds++
-				}
+			if parts[i].Seed != nil {
+				warmSeeds++
 			}
 			if s.tr != nil {
-				name := "solve.component"
-				if cached != nil {
-					name = "solve.reuse"
-				}
 				parts[i].OnSolve = func() func(*milp.Solution) {
-					sp := s.tr.Begin("solve", name)
+					sp := s.tr.Begin("solve", "solve.component")
 					return func(ps *milp.Solution) { endComponentSpan(sp, cc, ps) }
 				}
 			}
 		}
 		var partSols []*milp.Solution
 		sol, partSols, err = milp.SolveParts(parts, comp.Model.NumVars(), mopts)
-		if replayed < len(comps) {
-			// Decomposed/Components count sub-MILPs actually solved; a
-			// replayed part ran no solver, and a fully replayed cycle ran none
-			// at all.
-			s.Stats.Decomposed++
-			s.Stats.Components += len(comps) - replayed
-		}
-		if inc != nil {
-			inc.commit(partSols)
-		}
+		s.Stats.Decomposed++
+		s.Stats.Components += len(comps)
 		if err == nil {
 			// Components that produced no incumbent fall back individually;
 			// the solved components keep their decisions.
@@ -778,42 +645,17 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			}
 		}
 	} else {
-		cc := comps[0]
-		partSeed := cc.RestrictSeed(seed)
-		var cached *milp.Solution
-		if inc != nil {
-			cached = inc.lookup(cc, partSeed)
-		}
-		if cached != nil {
-			sol = cached
-			replayed++
-			if s.tr != nil {
-				s.tr.Complete("solve", "solve.reuse", 0,
-					trace.S("status", cached.Status.String()),
-					trace.I("jobs", int64(len(cc.Jobs))),
-					trace.F("objective", cached.Objective))
-			}
-		} else {
-			mopts.InitialSolution = partSeed
-			mopts.Heuristic = comp.GreedyRound
-			sol, err = milp.Solve(comp.Model, mopts)
-			if partSeed != nil {
-				warmSeeds++
-			}
-		}
-		if inc != nil {
-			inc.commit([]*milp.Solution{sol})
+		mopts.InitialSolution = comps[0].RestrictSeed(seed)
+		mopts.Heuristic = comp.GreedyRound
+		sol, err = milp.Solve(comp.Model, mopts)
+		if mopts.InitialSolution != nil {
+			warmSeeds++
 		}
 	}
 	elapsed := time.Since(t0)
 	res.SolverLatency += elapsed
-	if replayed < len(comps) {
-		// A fully replayed cycle ran no MILP at all: recording it would count
-		// phantom solves (and, on the single-component path, replay the cached
-		// solution's node/LP/presolve effort into the totals every cycle).
-		s.Stats.record(sol, warmSeeds, elapsed)
-		s.tracePresolve(sol)
-	}
+	s.Stats.record(sol, warmSeeds, elapsed)
+	s.tracePresolve(sol)
 	endSolveSpan(solveSpan, sol, err, warmSeeds > 0)
 	if err != nil || sol.Values == nil {
 		// Solver produced nothing inside its budget (possible under extreme
@@ -1060,7 +902,6 @@ func (s *Scheduler) preemptRescue(now int64, working *bitset.Set, reqs []*strlge
 				s.tr.Instant("place", "preempt", trace.I("victim", int64(v.job.ID)),
 					trace.I("rescued", int64(j.ID)))
 				delete(s.running, v.job.ID)
-				s.markJobDirty(v.job.ID)
 				if s.sharded() {
 					s.shardState.Bump(v.nodes)
 				}
@@ -1121,7 +962,6 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			Gap:              s.cfg.Gap,
 			TimeLimit:        s.cfg.SolverTimeLimit,
 			Workers:          s.cfg.SolverWorkers,
-			Deterministic:    true,
 			Heuristic:        comp.GreedyRound,
 			DisableWarmStart: s.cfg.DisableWarmStart,
 			DisablePresolve:  s.cfg.DisablePresolve,
@@ -1217,7 +1057,6 @@ func (s *Scheduler) launch(now int64, j *workload.Job, nodes []int, opt *strlgen
 	s.running[j.ID] = &runInfo{job: j, nodes: nodes, estEnd: now + opt.EstDur, launched: now}
 	s.removePending(j)
 	delete(s.lastJob, j.ID)
-	s.markJobDirty(j.ID)
 }
 
 // pickNodes selects concrete free nodes for a start-now grant: from each

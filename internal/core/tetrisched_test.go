@@ -734,3 +734,27 @@ func TestPendingOrderFollowsAdmitSeq(t *testing.T) {
 		t.Fatalf("zero-seq jobs must keep ID order, got %v %v %v", ord[0].ID, ord[1].ID, ord[2].ID)
 	}
 }
+
+// TestSchedulerStateDrains is the cross-cycle leak audit: after a full
+// simulation in which every job completes or is dropped, every per-job map —
+// pending, running and the lastJob warm-start seeds — must be empty,
+// monolithic and sharded alike.
+func TestSchedulerStateDrains(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		c := cluster.RC80(true)
+		jobs, err := workload.Generate(workload.GSHET(15), c, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := New(c, Config{PlanAhead: 48, EnablePreemption: true, Shards: shards})
+		if _, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched}); err != nil {
+			t.Fatal(err)
+		}
+		if sched.Pending() != 0 || sched.Running() != 0 {
+			t.Errorf("shards=%d: scheduler not drained: pending=%d running=%d", shards, sched.Pending(), sched.Running())
+		}
+		if len(sched.lastJob) != 0 {
+			t.Errorf("shards=%d: lastJob retains %d entries after drain: %v", shards, len(sched.lastJob), sched.lastJob)
+		}
+	}
+}

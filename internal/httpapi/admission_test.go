@@ -32,7 +32,7 @@ func (f *fakeSched) Submit(now int64, j *workload.Job) {
 	f.byTenant[j.Tenant]++
 	f.order = append(f.order, j)
 }
-func (f *fakeSched) JobFinished(now int64, j *workload.Job)          {}
+func (f *fakeSched) JobFinished(now int64, j *workload.Job)            {}
 func (f *fakeSched) Cycle(now int64, free *bitset.Set) sim.CycleResult { return sim.CycleResult{} }
 
 var _ sim.Scheduler = (*fakeSched)(nil)

@@ -121,25 +121,26 @@ type CompletionMsg struct {
 // SolverStatusMsg is the cumulative MILP/LP telemetry block of a status
 // response — the daemon-side view of core.SolveStats.
 type SolverStatusMsg struct {
-	Solves          int     `json:"solves"`
-	Nodes           int     `json:"bb_nodes"`
-	MaxNodes        int     `json:"bb_nodes_max"`
-	Workers         int     `json:"workers"`
-	WarmStarts      int     `json:"warm_starts"`
-	LPIters         int64   `json:"lp_iterations"`
-	Phase1          int     `json:"lp_phase1"`
-	WarmLPs         int     `json:"lp_warm_hits"`
-	ColdLPs         int     `json:"lp_cold_starts"`
-	Decomposed      int     `json:"decomposed_solves"`
-	Components      int     `json:"components"`
+	Solves     int   `json:"solves"`
+	Nodes      int   `json:"bb_nodes"`
+	MaxNodes   int   `json:"bb_nodes_max"`
+	Workers    int   `json:"workers"`
+	WarmStarts int   `json:"warm_starts"`
+	LPIters    int64 `json:"lp_iterations"`
+	Phase1     int   `json:"lp_phase1"`
+	WarmLPs    int   `json:"lp_warm_hits"`
+	ColdLPs    int   `json:"lp_cold_starts"`
+	Decomposed int   `json:"decomposed_solves"`
+	Components int   `json:"components"`
+	// ReuseHits through CompileSkips mirror retired cross-cycle cache
+	// counters of core.SolveStats; they always read 0 and stay for wire
+	// compatibility.
 	ReuseHits       int     `json:"reuse_hits"`
 	ReuseMisses     int     `json:"reuse_misses"`
-	ReuseHitRate    float64 `json:"reuse_hit_rate"`
 	ExprHits        int     `json:"expr_hits"`
 	ExprMisses      int     `json:"expr_misses"`
 	CompileSkips    int     `json:"compile_skips"`
 	CompileJobs     int     `json:"compile_jobs"`
-	CompileSkipRate float64 `json:"compile_skip_rate"`
 	GenerateMillis  float64 `json:"generate_millis"`
 	CompileMillis   float64 `json:"compile_millis"`
 	WarmHitRate     float64 `json:"lp_warm_hit_rate"`
@@ -522,12 +523,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			WarmLPs: st.WarmLPs, ColdLPs: st.ColdLPs,
 			Decomposed: st.Decomposed, Components: st.Components,
 			ReuseHits: st.ReuseHits, ReuseMisses: st.ReuseMisses,
-			ReuseHitRate:    st.ReuseHitRate(),
-			ExprHits:        st.ExprHits,
-			ExprMisses:      st.ExprMisses,
+			ExprHits: st.ExprHits, ExprMisses: st.ExprMisses,
 			CompileSkips:    st.CompileSkips,
 			CompileJobs:     st.CompileJobs,
-			CompileSkipRate: st.CompileSkipRate(),
 			GenerateMillis:  float64(st.GenerateNS) / 1e6,
 			CompileMillis:   float64(st.CompileNS) / 1e6,
 			WarmHitRate:     st.WarmHitRate(),
@@ -623,14 +621,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("tetrisched_solver_lp_cold_starts_total", "LPs solved from scratch.", uint64(st.ColdLPs))
 		counter("tetrisched_solver_decomposed_total", "Global solves split into independent components.", uint64(st.Decomposed))
 		counter("tetrisched_solver_components_total", "Sub-MILPs solved across all decomposed solves.", uint64(st.Components))
-		counter("tetrisched_solver_reuse_hits_total", "Component sub-solves replayed from the previous cycle.", uint64(st.ReuseHits))
-		counter("tetrisched_solver_reuse_misses_total", "Fingerprinted components solved fresh.", uint64(st.ReuseMisses))
-		gauge("tetrisched_solver_reuse_hit_rate", "Fraction of fingerprinted sub-solves served by replay.", st.ReuseHitRate())
-		counter("tetrisched_solver_expr_cache_hits_total", "Pending-job STRL requests served from the expression cache.", uint64(st.ExprHits))
-		counter("tetrisched_solver_expr_cache_misses_total", "Pending-job STRL requests generated fresh.", uint64(st.ExprMisses))
-		counter("tetrisched_solver_compile_skips_total", "Batch jobs whose compilation was skipped by the compile cache.", uint64(st.CompileSkips))
 		counter("tetrisched_solver_compile_jobs_total", "Batch jobs compiled into a MILP.", uint64(st.CompileJobs))
-		gauge("tetrisched_solver_compile_skip_rate", "Fraction of batch jobs served by the compile cache.", st.CompileSkipRate())
 		const genSec = "tetrisched_solver_generate_seconds_total"
 		fmt.Fprintf(&b, "# HELP %s Cumulative STRL generation wall-clock.\n# TYPE %s counter\n%s %g\n",
 			genSec, genSec, genSec, float64(st.GenerateNS)/1e9)

@@ -26,15 +26,6 @@ type Part struct {
 	// part's solution (nil on solver error) when it ends. Callers use it to
 	// open and close per-part trace spans with correct timing.
 	OnSolve func() func(*Solution)
-	// Reuse, if non-nil, is a previously computed solution for this part's
-	// model (same variable space, proven under identical inputs — the
-	// caller's fingerprint is the witness); SolveParts adopts it verbatim
-	// instead of solving. The part still participates in worker apportioning
-	// so its siblings are solved with exactly the worker counts a full run
-	// would use (deterministic searches depend on them), but it contributes
-	// no node/LP/presolve/runtime telemetry to the merge — only its Values,
-	// Objective, Bound, and Status.
-	Reuse *Solution
 }
 
 // SolveParts solves the independent parts of a decomposed model concurrently
@@ -48,8 +39,7 @@ type Part struct {
 //     the solved parts).
 //   - Nodes, LP telemetry, and Runtime are sums over every part that ran —
 //     Runtime is therefore aggregate solver effort, not wall-clock, which is
-//     roughly Runtime divided by the parts solved concurrently. Parts adopted
-//     from a Reuse solution contribute values but no effort telemetry.
+//     roughly Runtime divided by the parts solved concurrently.
 //   - Workers is the largest per-part worker count.
 //
 // Options apply per part: every part shares the Gap, TimeLimit, and MaxNodes
@@ -105,13 +95,6 @@ func SolveParts(parts []Part, fullVars int, opts Options) (*Solution, []*Solutio
 			if parts[i].OnSolve != nil {
 				done = parts[i].OnSolve()
 			}
-			if parts[i].Reuse != nil {
-				sols[i] = parts[i].Reuse
-				if done != nil {
-					done(sols[i])
-				}
-				return
-			}
 			po := opts
 			po.Workers = assign[i]
 			po.InitialSolution = parts[i].Seed
@@ -166,18 +149,14 @@ func mergeParts(parts []Part, sols []*Solution, fullVars int) *Solution {
 		if sol == nil {
 			continue
 		}
-		if parts[i].Reuse == nil {
-			// Replayed parts did no search this call; folding their recorded
-			// effort back in would double-count it every cycle they survive.
-			merged.Nodes += sol.Nodes
-			merged.LP.add(&sol.LP)
-			merged.Presolve.add(&sol.Presolve)
-			merged.Cuts.add(&sol.Cuts)
-			merged.Branch.add(&sol.Branch)
-			merged.Runtime += sol.Runtime
-			if sol.Workers > merged.Workers {
-				merged.Workers = sol.Workers
-			}
+		merged.Nodes += sol.Nodes
+		merged.LP.add(&sol.LP)
+		merged.Presolve.add(&sol.Presolve)
+		merged.Cuts.add(&sol.Cuts)
+		merged.Branch.add(&sol.Branch)
+		merged.Runtime += sol.Runtime
+		if sol.Workers > merged.Workers {
+			merged.Workers = sol.Workers
 		}
 		switch sol.Status {
 		case StatusInfeasible:

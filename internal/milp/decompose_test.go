@@ -43,7 +43,7 @@ func TestDecomposeSolvePartsMatchesIndependentSolves(t *testing.T) {
 		parts[i] = Part{Model: m, VarMap: seqVarMap(fullVars, m.NumVars())}
 		fullVars += m.NumVars()
 	}
-	merged, sols, err := SolveParts(parts, fullVars, Options{Workers: 2, Deterministic: true})
+	merged, sols, err := SolveParts(parts, fullVars, Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("SolveParts: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestDecomposeSolvePartsMatchesIndependentSolves(t *testing.T) {
 			}
 		}
 		// Each part must also agree with a direct Solve of its model.
-		direct, err := Solve(parts[i].Model, Options{Deterministic: true})
+		direct, err := Solve(parts[i].Model, Options{})
 		if err != nil {
 			t.Fatalf("direct solve %d: %v", i, err)
 		}
@@ -120,13 +120,13 @@ func TestDecomposeDeterministicAcrossRuns(t *testing.T) {
 		return parts, fullVars
 	}
 	parts, fullVars := build()
-	first, _, err := SolveParts(parts, fullVars, Options{Workers: 3, Deterministic: true})
+	first, _, err := SolveParts(parts, fullVars, Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("SolveParts: %v", err)
 	}
 	for run := 0; run < 5; run++ {
 		parts, fullVars := build()
-		again, _, err := SolveParts(parts, fullVars, Options{Workers: 3, Deterministic: true})
+		again, _, err := SolveParts(parts, fullVars, Options{Workers: 3})
 		if err != nil {
 			t.Fatalf("SolveParts run %d: %v", run, err)
 		}
@@ -238,7 +238,7 @@ func TestDecomposeSeedAndHooksRouted(t *testing.T) {
 		}
 		fullVars += m.NumVars()
 	}
-	merged, _, err := SolveParts(parts, fullVars, Options{Deterministic: true})
+	merged, _, err := SolveParts(parts, fullVars, Options{})
 	if err != nil {
 		t.Fatalf("SolveParts: %v", err)
 	}
@@ -265,69 +265,5 @@ func TestDecomposeValidation(t *testing.T) {
 	}
 	if _, _, err := SolveParts([]Part{{VarMap: []int{0}}}, 1, Options{}); err == nil {
 		t.Error("nil model should error")
-	}
-}
-
-// TestDecomposeReusePartAdoptedVerbatim pins the Reuse contract: a part
-// carrying a cached solution is adopted without solving — its Values,
-// Objective, and Bound merge exactly as a live solve's would, it keeps its
-// worker-apportioning slot, but it contributes no node/LP/runtime effort and
-// its OnSolve hook still fires (the trace shows a zero-effort replay span).
-func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
-	models := []*Model{
-		knapsack([]float64{5, 4, 3}, []float64{2, 3, 1}, 4),
-		knapsack([]float64{7, 1}, []float64{1, 1}, 1),
-	}
-	parts := make([]Part, len(models))
-	fullVars := 0
-	for i, m := range models {
-		parts[i] = Part{Model: m, VarMap: seqVarMap(fullVars, m.NumVars())}
-		fullVars += m.NumVars()
-	}
-	fresh, freshSols, err := SolveParts(parts, fullVars, Options{Workers: 2, Deterministic: true})
-	if err != nil {
-		t.Fatalf("fresh SolveParts: %v", err)
-	}
-
-	var mu sync.Mutex
-	hookSaw := (*Solution)(nil)
-	parts[0].Reuse = freshSols[0]
-	parts[0].OnSolve = func() func(*Solution) {
-		return func(sol *Solution) {
-			mu.Lock()
-			hookSaw = sol
-			mu.Unlock()
-		}
-	}
-	replay, replaySols, err := SolveParts(parts, fullVars, Options{Workers: 2, Deterministic: true})
-	if err != nil {
-		t.Fatalf("replay SolveParts: %v", err)
-	}
-	if replaySols[0] != freshSols[0] {
-		t.Error("reused part did not adopt the supplied solution verbatim")
-	}
-	mu.Lock()
-	if hookSaw != freshSols[0] {
-		t.Errorf("OnSolve hook saw %+v, want the reused solution", hookSaw)
-	}
-	mu.Unlock()
-	if !reflect.DeepEqual(replay.Values, fresh.Values) {
-		t.Errorf("replayed merge values differ from the fresh run:\n%v\n%v", replay.Values, fresh.Values)
-	}
-	if replay.Objective != fresh.Objective || replay.Bound != fresh.Bound || replay.Status != fresh.Status {
-		t.Errorf("replayed merge (obj=%v bound=%v status=%v) != fresh (obj=%v bound=%v status=%v)",
-			replay.Objective, replay.Bound, replay.Status, fresh.Objective, fresh.Bound, fresh.Status)
-	}
-	// Effort telemetry counts only the live part.
-	live := replaySols[1]
-	if replay.Nodes != live.Nodes || replay.LP != live.LP || replay.Runtime != live.Runtime {
-		t.Errorf("replayed merge effort (nodes=%d lp=%+v runtime=%v) should equal the live part's (nodes=%d lp=%+v runtime=%v)",
-			replay.Nodes, replay.LP, replay.Runtime, live.Nodes, live.LP, live.Runtime)
-	}
-	// Worker apportioning is computed before Reuse short-circuits, so the live
-	// part solves with the same worker count as in the fresh run.
-	if live.Workers != freshSols[1].Workers {
-		t.Errorf("live part solved with %d workers, want %d (same apportionment as a full run)",
-			live.Workers, freshSols[1].Workers)
 	}
 }

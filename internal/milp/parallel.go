@@ -7,28 +7,17 @@ import (
 	"time"
 )
 
-// Parallel branch-and-bound drivers.
+// Parallel branch-and-bound driver.
 //
-// Two strategies share the serial search's node/incumbent logic:
-//
-//   - runAsync: a free-running worker pool over the shared best-bound heap.
-//     Workers pop under a mutex, solve the node's LP relaxation on private
-//     scratch state, then re-acquire the lock to publish incumbents and push
-//     children. Fastest, but the explored tree depends on worker
-//     interleaving, so equal-objective ties can resolve differently run to
-//     run.
-//
-//   - runBatch (Options.Deterministic): synchronous rounds. Each round pops
-//     up to Workers nodes in best-bound order (ties broken by node creation
-//     sequence), evaluates their LPs concurrently, then applies the results
-//     in pop order. The explored tree and all tie-breaks are independent of
-//     goroutine scheduling, so repeated solves return byte-identical Values
-//     (absent wall-clock limits).
-//
-// Both honor gap/time/node limits cooperatively: any worker that observes a
-// limit raises the shared stop flag and wakes the others.
+// runBatch shares the serial search's node/incumbent logic and runs
+// synchronous rounds. Each round pops up to Workers nodes in best-bound order
+// (ties broken by node creation sequence), evaluates their LPs concurrently,
+// then applies the results in pop order. The explored tree and all tie-breaks
+// are independent of goroutine scheduling, so repeated solves return
+// byte-identical Values (absent wall-clock limits). Gap, time and node limits
+// are checked between rounds.
 
-// nodeResult is the off-lock outcome of evaluating one branch-and-bound node.
+// nodeResult is the outcome of evaluating one branch-and-bound node.
 type nodeResult struct {
 	node     *bbNode
 	dead     bool        // infeasible, numerical trouble, or obj-pruned at solve time
@@ -43,7 +32,8 @@ type nodeResult struct {
 // evalNode solves one node's LP relaxation on the worker's scratch and
 // derives everything the shared-state apply step needs. It only reads search
 // state that is fixed for the duration of the solve (model, p, opts,
-// deadline) plus the caller's scratch, so it runs without the driver lock.
+// deadline) plus the caller's scratch, so a round's evaluations run
+// concurrently.
 // idx is the node's 1-based processing index, used for the heuristic cadence.
 func (s *search) evalNode(node *bbNode, sc *simplexState, lbBuf, ubBuf []float64, idx int) nodeResult {
 	copy(lbBuf, s.p.lb)
@@ -81,22 +71,22 @@ func (s *search) evalNode(node *bbNode, sc *simplexState, lbBuf, ubBuf []float64
 		}
 	}
 	// Branch selection consults the shared pseudocost table, so it happens in
-	// the apply step (under the driver lock); only the fractional candidates
-	// are captured here, copied because x aliases the worker scratch.
+	// the in-order apply step; only the fractional candidates are captured
+	// here, copied because x aliases the worker scratch.
 	r.fracs = gatherFractional(s.model, x, nil)
 	return r
 }
 
 // applyResult publishes one evaluated node into the shared search state:
-// incumbent updates and child creation. Callers must hold the driver lock
-// (async) or apply results in deterministic order between rounds (batch).
+// incumbent updates and child creation. runBatch applies results in pop
+// order between rounds.
 func (s *search) applyResult(r nodeResult) {
 	if r.dead {
 		return
 	}
 	s.noteBranchOutcome(r.node, r.obj)
-	// Re-check against the possibly-improved incumbent: another worker may
-	// have published a better one while this node's LP was solving.
+	// Re-check against the possibly-improved incumbent: a result applied
+	// earlier in this round may have published a better one.
 	if s.incumbent != nil && !s.better(r.obj, s.incObj) {
 		return
 	}
@@ -117,139 +107,6 @@ func (s *search) applyResult(r nodeResult) {
 	}
 	bv, v := s.selectBranch(r.fracs)
 	s.pushChildren(r.node, bv, v, r.obj, r.snap)
-}
-
-// runAsync is the free-running worker pool. Shared state (heap, incumbent,
-// counters, bestBound) is guarded by mu; workers block on cond when the heap
-// is momentarily empty but siblings are still expanding nodes.
-//
-// A worker may be expanding a node whose bound is weaker than the heap top,
-// and its subtree stays unexplored if the search stops now — so the proven
-// global bound, the gap-termination test, and the bound reported at limit
-// stops must all fold in the bounds of in-flight nodes, not just the heap.
-func (s *search) runAsync() {
-	var (
-		mu         sync.Mutex
-		cond       = sync.Cond{L: &mu}
-		inFlight   []float64 // bounds of nodes currently being evaluated
-		stopped    bool
-		boundFinal bool // s.bestBound already folds heap + in-flight; finish must keep it
-	)
-	stop := func() {
-		if !stopped {
-			stopped = true
-			cond.Broadcast()
-		}
-	}
-	// globalBound folds the heap top and every in-flight bound; extra, if
-	// non-nil, is a just-popped node not yet counted anywhere.
-	globalBound := func(extra *float64) float64 {
-		var b float64
-		have := false
-		if extra != nil {
-			b, have = *extra, true
-		}
-		if s.h.Len() > 0 {
-			if !have || s.weakerBound(s.h.nodes[0].bound, b) {
-				b, have = s.h.nodes[0].bound, true
-			}
-		}
-		for _, fb := range inFlight {
-			if !have || s.weakerBound(fb, b) {
-				b, have = fb, true
-			}
-		}
-		if !have {
-			return s.incObj
-		}
-		return b
-	}
-	// stopAtLimit finalizes the reported bound before a node/time limit stop:
-	// heap and in-flight subtrees are all unexplored at this point.
-	stopAtLimit := func() {
-		s.bestBound = globalBound(nil)
-		boundFinal = true
-		stop()
-	}
-	worker := func() {
-		sc := newScratch(s.p)
-		lbBuf := make([]float64, len(s.p.lb))
-		ubBuf := make([]float64, len(s.p.ub))
-		mu.Lock()
-		defer mu.Unlock()
-		// LIFO defers: the stats fold runs before the Unlock above, i.e.
-		// still under the driver lock.
-		defer s.lp.add(&sc.stats)
-		for {
-			for !stopped && s.h.Len() == 0 && len(inFlight) > 0 {
-				cond.Wait()
-			}
-			if stopped || s.h.Len() == 0 {
-				// Heap drained and nobody is expanding: search exhausted.
-				stop()
-				return
-			}
-			if s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes {
-				stopAtLimit()
-				return
-			}
-			if s.opts.TimeLimit > 0 && time.Since(s.start) > s.opts.TimeLimit {
-				s.deadlineHit = true
-				stopAtLimit()
-				return
-			}
-			node := heap.Pop(s.h).(*bbNode)
-			glob := globalBound(&node.bound)
-			s.bestBound = glob
-			if s.incumbent != nil && !s.better(node.bound, s.incObj) {
-				continue // pruned by bound
-			}
-			// Stop only when the *global* bound meets the gap: the popped
-			// node alone being within gap proves nothing while a
-			// weaker-bound sibling is still in flight. Until then gap-met
-			// nodes keep getting expanded — that work tightens the bound.
-			if s.gapMet(glob) {
-				s.gapBreak = true
-				boundFinal = true
-				stop()
-				return
-			}
-			s.nodes++
-			idx := s.nodes
-			inFlight = append(inFlight, node.bound)
-			mu.Unlock()
-			r := s.evalNode(node, sc, lbBuf, ubBuf, idx)
-			mu.Lock()
-			for i, fb := range inFlight {
-				if fb == node.bound {
-					inFlight = append(inFlight[:i], inFlight[i+1:]...)
-					break
-				}
-			}
-			if !stopped {
-				s.applyResult(r)
-			}
-			cond.Broadcast()
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	wg.Wait()
-	s.boundFinal = boundFinal
-}
-
-// weakerBound reports whether a is a weaker (more conservative) bound than b.
-func (s *search) weakerBound(a, b float64) bool {
-	if s.maximize {
-		return a > b
-	}
-	return a < b
 }
 
 // runBatch is the deterministic driver: synchronous rounds of up to Workers

@@ -36,7 +36,7 @@ func randMILP(seed int64) *Model {
 }
 
 // TestParallelMatchesSerialObjective runs exact solves of the same models
-// serially and with both parallel drivers; all must agree on the optimal
+// serially and with the parallel driver; both must agree on the optimal
 // objective (the optimal point need not be unique).
 func TestParallelMatchesSerialObjective(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -47,34 +47,29 @@ func TestParallelMatchesSerialObjective(t *testing.T) {
 		if serial.Workers != 1 {
 			t.Fatalf("seed %d: serial Workers = %d", seed, serial.Workers)
 		}
-		for _, opt := range []Options{
-			{Workers: 4, SerialCutoff: -1},
-			{Workers: 4, Deterministic: true, SerialCutoff: -1},
-		} {
-			par, err := Solve(randMILP(seed), opt)
-			if err != nil {
-				t.Fatalf("seed %d workers=4 det=%v: %v", seed, opt.Deterministic, err)
-			}
-			if par.Status != serial.Status {
-				t.Errorf("seed %d det=%v: status %v, serial %v", seed, opt.Deterministic, par.Status, serial.Status)
-			}
-			if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
-				t.Errorf("seed %d det=%v: objective %.9f, serial %.9f", seed, opt.Deterministic, par.Objective, serial.Objective)
-			}
-			if par.Workers != 4 {
-				t.Errorf("seed %d det=%v: Workers = %d, want 4", seed, opt.Deterministic, par.Workers)
-			}
+		par, err := Solve(randMILP(seed), Options{Workers: 4, SerialCutoff: -1})
+		if err != nil {
+			t.Fatalf("seed %d workers=4: %v", seed, err)
+		}
+		if par.Status != serial.Status {
+			t.Errorf("seed %d: status %v, serial %v", seed, par.Status, serial.Status)
+		}
+		if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
+			t.Errorf("seed %d: objective %.9f, serial %.9f", seed, par.Objective, serial.Objective)
+		}
+		if par.Workers != 4 {
+			t.Errorf("seed %d: Workers = %d, want 4", seed, par.Workers)
 		}
 	}
 }
 
 // TestDeterministicParallelValues solves the same model ten times with four
-// deterministic workers; every run must return byte-identical Values.
+// workers; every run must return byte-identical Values.
 func TestDeterministicParallelValues(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		var ref *Solution
 		for run := 0; run < 10; run++ {
-			sol, err := Solve(randMILP(seed), Options{Workers: 4, Deterministic: true, Gap: 0.05, SerialCutoff: -1})
+			sol, err := Solve(randMILP(seed), Options{Workers: 4, Gap: 0.05, SerialCutoff: -1})
 			if err != nil {
 				t.Fatalf("seed %d run %d: %v", seed, run, err)
 			}
@@ -98,8 +93,8 @@ func TestDeterministicParallelValues(t *testing.T) {
 	}
 }
 
-// TestParallelGapBoundInvariant re-runs the bound invariant under both
-// parallel drivers: a gap-limited parallel solve must never report a bound
+// TestParallelGapBoundInvariant re-runs the bound invariant under the
+// parallel driver: a gap-limited parallel solve must never report a bound
 // tighter than the true optimum.
 func TestParallelGapBoundInvariant(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -107,20 +102,15 @@ func TestParallelGapBoundInvariant(t *testing.T) {
 		if err != nil || exact.Status != StatusOptimal {
 			t.Fatalf("seed %d: exact solve failed: %v %v", seed, exact, err)
 		}
-		for _, opt := range []Options{
-			{Workers: 4, Gap: 0.2, SerialCutoff: -1},
-			{Workers: 4, Deterministic: true, Gap: 0.2, SerialCutoff: -1},
-		} {
-			sol, err := Solve(randKnapsack(seed), opt)
-			if err != nil {
-				t.Fatalf("seed %d det=%v: %v", seed, opt.Deterministic, err)
-			}
-			if sol.Bound < exact.Objective-1e-6 {
-				t.Errorf("seed %d det=%v: Bound %.6f tighter than optimum %.6f", seed, opt.Deterministic, sol.Bound, exact.Objective)
-			}
-			if sol.Gap() > 0.2+1e-9 {
-				t.Errorf("seed %d det=%v: achieved gap %.4f exceeds requested 0.2", seed, opt.Deterministic, sol.Gap())
-			}
+		sol, err := Solve(randKnapsack(seed), Options{Workers: 4, Gap: 0.2, SerialCutoff: -1})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if sol.Bound < exact.Objective-1e-6 {
+			t.Errorf("seed %d: Bound %.6f tighter than optimum %.6f", seed, sol.Bound, exact.Objective)
+		}
+		if sol.Gap() > 0.2+1e-9 {
+			t.Errorf("seed %d: achieved gap %.4f exceeds requested 0.2", seed, sol.Gap())
 		}
 	}
 }
@@ -167,8 +157,8 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-// TestParallelTimeLimit checks cooperative deadline handling: workers must
-// stop promptly and still return the best incumbent found.
+// TestParallelTimeLimit checks deadline handling between rounds: the
+// workers must stop promptly and still return the best incumbent found.
 func TestParallelTimeLimit(t *testing.T) {
 	start := time.Now()
 	sol, err := Solve(randMILP(3), Options{Workers: 4, TimeLimit: 50 * time.Millisecond, SerialCutoff: -1})
@@ -183,14 +173,14 @@ func TestParallelTimeLimit(t *testing.T) {
 	}
 }
 
-// TestParallelMaxNodes checks the cooperative node limit.
+// TestParallelMaxNodes checks the node limit between rounds.
 func TestParallelMaxNodes(t *testing.T) {
 	sol, err := Solve(randMILP(5), Options{Workers: 4, MaxNodes: 3, SerialCutoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The limit is checked before each pop; a round of in-flight workers may
-	// overshoot by at most Workers nodes.
+	// The limit is checked before each round; one round may overshoot it by
+	// at most Workers nodes.
 	if sol.Nodes > 3+4 {
 		t.Fatalf("explored %d nodes, limit 3 (+4 in-flight slack)", sol.Nodes)
 	}

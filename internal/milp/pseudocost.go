@@ -16,7 +16,7 @@ import "math"
 // The table starts empty (reliability: with no observations at all the
 // selector is exactly the historical most-fractional rule, and unobserved
 // variables fall back to the table-wide average), updates are applied where
-// the drivers already hold the shared-state lock, and Options.DisablePseudocost
+// the drivers apply node results, and Options.DisablePseudocost
 // pins the historical rule outright. Branching order never affects which
 // solutions are feasible or optimal — only how fast the search proves them —
 // so the switch is a policy-invariant kill switch like DenseBasis and
@@ -38,8 +38,8 @@ func (a *BranchStats) add(b *BranchStats) {
 
 // pcTable accumulates per-variable, per-direction pseudocosts: the mean LP
 // objective degradation per unit of fractionality, learned from solved
-// children. Access is guarded by the owning driver (serial loop, batch
-// apply phase, or the async driver lock).
+// children. Access is guarded by the owning driver (serial loop or batch
+// apply phase).
 type pcTable struct {
 	upSum, dnSum []float64
 	upCnt, dnCnt []int32
@@ -56,8 +56,8 @@ func newPCTable(n int) *pcTable {
 }
 
 // fracVar is one fractional integer column of a node relaxation, captured so
-// branch selection can run later (and under the driver lock) without the
-// relaxation vector.
+// branch selection can run later (in the apply step) without the relaxation
+// vector.
 type fracVar struct {
 	col int
 	val float64

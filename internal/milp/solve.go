@@ -60,14 +60,6 @@ type Options struct {
 	// behavior). Each worker solves LP relaxations on its own scratch state;
 	// incumbents and the open-node queue are shared.
 	Workers int
-	// Deterministic makes multi-worker searches independent of worker
-	// interleaving: nodes are expanded in synchronous best-bound rounds with
-	// a fixed tie-break order (equal-bound nodes by creation sequence,
-	// equal-objective incumbents by application order), so repeated solves of
-	// the same model return byte-identical Values. Serial solves are always
-	// deterministic. Wall-clock limits (TimeLimit) remain a source of timing
-	// dependence in every mode.
-	Deterministic bool
 	// InitialSolution, if non-nil and feasible, seeds the incumbent — used by
 	// the scheduler to warm-start each cycle with the previous cycle's plan.
 	// An infeasible seed is silently ignored.
@@ -216,8 +208,8 @@ func (h *nodeHeap) Pop() interface{} {
 }
 
 // search carries the branch-and-bound state shared by the serial and
-// parallel drivers. In parallel modes every field below is guarded by the
-// driver's mutex (async) or only touched between synchronous rounds (batch).
+// parallel drivers. In the parallel driver every field below is only touched
+// between synchronous rounds.
 type search struct {
 	model    *Model
 	p        *lp
@@ -241,10 +233,9 @@ type search struct {
 	seq uint64
 
 	nodes       int
-	bestBound   float64 // proven global bound (weakest open node, incl. in-flight)
+	bestBound   float64 // proven global bound (weakest open node)
 	deadlineHit bool
 	gapBreak    bool // terminated with the global bound gap-met
-	boundFinal  bool // async driver already folded in-flight bounds into bestBound
 }
 
 // better reports whether a is strictly better than b in the optimize sense.
@@ -452,19 +443,16 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 	rootSnap := s.nodeSnapshot(s.scratch)
 	s.pc = newPCTable(len(model.Vars))
 
-	s.h = &nodeHeap{max: maximize, det: workers > 1 && opts.Deterministic}
+	s.h = &nodeHeap{max: maximize, det: workers > 1}
 	heap.Init(s.h)
 	s.pushNode(&bbNode{bound: rootObj, warm: rootSnap, pcol: -1})
 	s.nodes = 1
 	s.bestBound = rootObj
 
-	switch {
-	case workers == 1:
+	if workers == 1 {
 		s.runSerial()
-	case opts.Deterministic:
+	} else {
 		s.runBatch()
-	default:
-		s.runAsync()
 	}
 	return s.finish(), nil
 }
@@ -564,11 +552,6 @@ func (s *search) finish() *Solution {
 			b = s.pickBound(b, s.incObj)
 		}
 		s.bestBound = b
-	} else if s.boundFinal {
-		// Async limit stop: s.bestBound already folds the heap top and the
-		// bounds of nodes that were in flight when the stop flag rose —
-		// their subtrees are unexplored, so the heap top alone would
-		// overstate progress. Nothing tighter is provable here.
 	} else if s.h.Len() == 0 && !s.deadlineHit {
 		// Exhausted the tree: the incumbent is exactly optimal.
 		s.bestBound = s.incObj

@@ -7,7 +7,6 @@ package strlgen
 
 import (
 	"fmt"
-	"math"
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
@@ -258,44 +257,8 @@ func (g *Generator) baseValue(j *workload.Job, completion int64) float64 {
 // job that means its deadline can no longer be met under current estimates
 // and the scheduler should cull it (it will never regain value).
 func (g *Generator) Generate(now int64, j *workload.Job) *Request {
-	req, _ := g.GenerateTTL(now, j)
-	return req
-}
-
-// optionTTL returns the largest cycle time now' at which Generate(now', j)
-// would still emit this option with the same value. Option enumeration is
-// otherwise a pure function of the job, so the minimum over a request's
-// options bounds how long the whole request stays byte-identical:
-//
-//   - SLO (reserved or not): the value is a constant while the completion
-//     meets the deadline, and the option is culled the first cycle it
-//     cannot, so the bound is the latest now' with
-//     now' + (completion-now) <= Deadline.
-//   - Best-effort on the BEFloor clamp: the raw linearly-decayed value has
-//     already fallen to the floor, where it stays forever — never expires.
-//   - Best-effort still decaying: the value moves every cycle; valid only
-//     at `now` itself.
-func (g *Generator) optionTTL(now int64, j *workload.Job, completion int64) int64 {
-	if j.Class == workload.SLO {
-		return j.Deadline - (completion - now)
-	}
-	raw := g.cfg.ValueBE * (1 - float64(completion-j.Submit)/float64(g.cfg.BEDecay))
-	if raw <= g.cfg.BEFloor && g.cfg.BEFloor > 0 {
-		return math.MaxInt64
-	}
-	return now
-}
-
-// GenerateTTL is Generate plus an expiry bound for the scheduler's per-job
-// expression cache: the returned validUntil is the largest cycle time now'
-// (now' >= now) for which Generate(now', j) returns a request with identical
-// options, values, and structure, so the caller may reuse this request —
-// including its leaf pointers, which downstream caches key on — for any
-// cycle at or before validUntil. A nil request carries validUntil = now.
-func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
-	validUntil := int64(math.MaxInt64)
 	if j.K <= 0 || j.K > g.all.Count() {
-		return nil, now // unsatisfiable on this cluster
+		return nil // unsatisfiable on this cluster
 	}
 	placements := g.placements(j)
 	strideFor := func(budget int) int64 {
@@ -336,9 +299,6 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 				// placement (deadline culling, §3.2.1).
 				break
 			}
-			if ttl := g.optionTTL(now, j, completion); ttl < validUntil {
-				validUntil = ttl
-			}
 			delaySlices := float64(completion-now) / float64(g.cfg.Quantum)
 			factor := 1 - g.cfg.EarlinessEps*delaySlices
 			if factor < 0.1 {
@@ -356,18 +316,18 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 		}
 	}
 	if len(req.Options) == 0 {
-		return nil, now
+		return nil
 	}
 	if len(req.Options) == 1 {
 		req.Expr = req.Options[0].Leaf
-		return req, validUntil
+		return req
 	}
 	kids := make([]strl.Expr, len(req.Options))
 	for i, o := range req.Options {
 		kids[i] = o.Leaf
 	}
 	req.Expr = &strl.Max{Kids: kids}
-	return req, validUntil
+	return req
 }
 
 // String describes the generator configuration.

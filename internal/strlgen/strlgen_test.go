@@ -1,8 +1,6 @@
 package strlgen
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"tetrisched/internal/cluster"
@@ -301,107 +299,4 @@ func BenchmarkGenerateGSHETJob(b *testing.B) {
 			b.Fatal("nil request")
 		}
 	}
-}
-
-// ttlSummary reduces a request to the fields the scheduler's expression cache
-// must keep byte-identical: option keys, window-relative starts, widths,
-// durations, and leaf values.
-type ttlSummary struct {
-	Key   string
-	Start int64
-	K     int
-	Dur   int64
-	Value float64
-}
-
-func summarize(req *Request) []ttlSummary {
-	if req == nil {
-		return nil
-	}
-	out := make([]ttlSummary, len(req.Options))
-	for i, o := range req.Options {
-		out[i] = ttlSummary{Key: o.Key, Start: o.Leaf.Start, K: o.Leaf.K, Dur: o.Leaf.Dur, Value: o.Leaf.Value}
-	}
-	return out
-}
-
-// TestGenerateTTLBoundsReuse pins the expiry bound that licenses the
-// scheduler's expression cache: regenerating at any time up to and including
-// validUntil yields a window-relative request identical to the cached one,
-// and regenerating one quantum past it does not.
-func TestGenerateTTLBoundsReuse(t *testing.T) {
-	c := cluster.RC80(false)
-
-	t.Run("slo deadline cull", func(t *testing.T) {
-		g := New(c, Default(4, 16)) // 4 slices, starts s = 0..3
-		j := &workload.Job{ID: 1, Class: workload.SLO, Reserved: true, Type: workload.Unconstrained,
-			Submit: 0, K: 2, BaseRuntime: 20, Slowdown: 1, Deadline: 100}
-		req, until := g.GenerateTTL(0, j)
-		if req == nil {
-			t.Fatal("nil request")
-		}
-		// The binding option is the last start (s=3): its completion is
-		// now+4*3+20, which meets the deadline exactly until now = 68.
-		if until != 68 {
-			t.Fatalf("validUntil = %d, want 68 (deadline 100 - last-start completion offset 32)", until)
-		}
-		base := summarize(req)
-		for _, now := range []int64{4, 36, until} {
-			if got := summarize(g.Generate(now, j)); !reflect.DeepEqual(got, base) {
-				t.Errorf("regeneration at now=%d (<= validUntil) diverged:\n  cached %v\n  fresh  %v", now, base, got)
-			}
-		}
-		if got := summarize(g.Generate(until+4, j)); reflect.DeepEqual(got, base) {
-			t.Errorf("regeneration at now=%d (past validUntil) still identical; the bound is not tight", until+4)
-		}
-	})
-
-	t.Run("best-effort decaying", func(t *testing.T) {
-		cfg := Default(4, 16)
-		cfg.BEDecay = 100
-		g := New(c, cfg)
-		j := &workload.Job{ID: 2, Class: workload.BestEffort, Type: workload.Unconstrained,
-			Submit: 0, K: 2, BaseRuntime: 20, Slowdown: 1}
-		req, until := g.GenerateTTL(0, j)
-		if req == nil {
-			t.Fatal("nil request")
-		}
-		if until != 0 {
-			t.Fatalf("validUntil = %d for a still-decaying best-effort value, want 0 (the generation instant only)", until)
-		}
-		if got := summarize(g.Generate(4, j)); reflect.DeepEqual(got, summarize(req)) {
-			t.Error("decaying best-effort request identical one quantum later; its leaf values must have moved")
-		}
-	})
-
-	t.Run("best-effort floored forever", func(t *testing.T) {
-		cfg := Default(4, 16)
-		cfg.BEDecay = 100
-		g := New(c, cfg)
-		// Submitted far in the past: the decayed value sits on the BEFloor
-		// clamp and never moves again.
-		j := &workload.Job{ID: 3, Class: workload.BestEffort, Type: workload.Unconstrained,
-			Submit: -100000, K: 2, BaseRuntime: 20, Slowdown: 1}
-		req, until := g.GenerateTTL(0, j)
-		if req == nil {
-			t.Fatal("nil request")
-		}
-		if until != math.MaxInt64 {
-			t.Fatalf("validUntil = %d for a floored best-effort value, want MaxInt64 (never expires)", until)
-		}
-		for _, now := range []int64{400, 100000} {
-			if got := summarize(g.Generate(now, j)); !reflect.DeepEqual(got, summarize(req)) {
-				t.Errorf("floored best-effort request diverged at now=%d; the clamp makes it time-invariant", now)
-			}
-		}
-	})
-
-	t.Run("culled job", func(t *testing.T) {
-		g := New(c, Default(4, 16))
-		j := &workload.Job{ID: 4, Class: workload.SLO, Type: workload.Unconstrained,
-			Submit: 0, K: 2, BaseRuntime: 200, Slowdown: 1, Deadline: 100}
-		if req, _ := g.GenerateTTL(0, j); req != nil {
-			t.Error("unsatisfiable job produced a request")
-		}
-	})
 }

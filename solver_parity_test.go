@@ -84,23 +84,18 @@ func TestSolverParityAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", sc.name, err)
 		}
-		for _, opts := range []milp.Options{
-			{Workers: 4, Heuristic: sc.comp.GreedyRound},
-			{Workers: 4, Deterministic: true, Heuristic: sc.comp.GreedyRound},
-		} {
-			par, err := milp.Solve(sc.comp.Model, opts)
-			if err != nil {
-				t.Fatalf("%s workers=4 det=%v: %v", sc.name, opts.Deterministic, err)
-			}
-			if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
-				t.Errorf("%s det=%v: objective %.9f != serial %.9f", sc.name, opts.Deterministic, par.Objective, serial.Objective)
-			}
+		par, err := milp.Solve(sc.comp.Model, milp.Options{Workers: 4, Heuristic: sc.comp.GreedyRound})
+		if err != nil {
+			t.Fatalf("%s workers=4: %v", sc.name, err)
+		}
+		if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
+			t.Errorf("%s: objective %.9f != serial %.9f", sc.name, par.Objective, serial.Objective)
 		}
 	}
 }
 
 // TestSolverParityWarmVsCold flips the warm-start kill switch across every
-// driver (serial, parallel-async, parallel-deterministic) on exact solves:
+// driver (serial, parallel) on exact solves:
 // dual-simplex re-solves from parent bases must change solve speed only,
 // never the objective. The stats assertions keep the switch honest — the warm
 // runs must actually warm-start and the cold runs must not.
@@ -112,8 +107,6 @@ func TestSolverParityWarmVsCold(t *testing.T) {
 		{Workers: 1, DisableWarmStart: true},
 		{Workers: 4},
 		{Workers: 4, DisableWarmStart: true},
-		{Workers: 4, Deterministic: true},
-		{Workers: 4, Deterministic: true, DisableWarmStart: true},
 	} {
 		opts.Heuristic = comp.GreedyRound
 		sol, err := milp.Solve(comp.Model, opts)
@@ -126,8 +119,8 @@ func TestSolverParityWarmVsCold(t *testing.T) {
 		if i == 0 {
 			want = sol.Objective
 		} else if diff := sol.Objective - want; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("case %d (workers=%d det=%v cold=%v): objective %.9f != %.9f",
-				i, opts.Workers, opts.Deterministic, opts.DisableWarmStart, sol.Objective, want)
+			t.Errorf("case %d (workers=%d cold=%v): objective %.9f != %.9f",
+				i, opts.Workers, opts.DisableWarmStart, sol.Objective, want)
 		}
 		if opts.DisableWarmStart {
 			if sol.LP.WarmHits != 0 || sol.LP.WarmFallbacks != 0 {
@@ -326,7 +319,7 @@ func TestDecompositionParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		opts := milp.Options{Gap: gap, Workers: 2, Deterministic: true}
+		opts := milp.Options{Gap: gap, Workers: 2}
 
 		monoOpts := opts
 		monoOpts.Heuristic = comp.GreedyRound
@@ -419,7 +412,7 @@ func TestPresolveParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		opts := milp.Options{Gap: gap, Workers: 2, Deterministic: true, Heuristic: comp.GreedyRound}
+		opts := milp.Options{Gap: gap, Workers: 2, Heuristic: comp.GreedyRound}
 		on, err := milp.Solve(comp.Model, opts)
 		if err != nil {
 			t.Fatalf("seed %d: presolved solve: %v", seed, err)
@@ -487,13 +480,13 @@ func benchComponentSolve(b *testing.B, split bool) {
 	for i := 0; i < b.N; i++ {
 		if split {
 			merged, _, err := milp.SolveParts(componentParts(comp.Components()), comp.Model.NumVars(),
-				milp.Options{Gap: 0.1, Workers: workers, Deterministic: true})
+				milp.Options{Gap: 0.1, Workers: workers})
 			if err != nil || merged.Values == nil {
 				b.Fatalf("decomposed solve failed: %v (%v)", err, merged)
 			}
 		} else {
 			sol, err := milp.Solve(comp.Model, milp.Options{
-				Gap: 0.1, Workers: workers, Deterministic: true, Heuristic: comp.GreedyRound,
+				Gap: 0.1, Workers: workers, Heuristic: comp.GreedyRound,
 			})
 			if err != nil || sol.Values == nil {
 				b.Fatalf("monolithic solve failed: %v", err)
@@ -539,7 +532,7 @@ func TestBasisEngineParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		base := milp.Options{Gap: gap, Workers: 2, Deterministic: true, Heuristic: comp.GreedyRound}
+		base := milp.Options{Gap: gap, Workers: 2, Heuristic: comp.GreedyRound}
 
 		lu, err := milp.Solve(comp.Model, base)
 		if err != nil {
